@@ -1216,15 +1216,7 @@ impl<'a> Attack<'a> {
         }
         while self.checkpoint.cursor < items.len() {
             let (name, hit) = items[self.checkpoint.cursor].clone();
-            let loc = hit.location(self.d);
-            if !lattice.accepts_hit(&hit)
-                || self.checkpoint.z_luts.iter().any(|z| loc.overlaps(&z.hit.location(self.d)))
-                || self
-                    .checkpoint
-                    .feedback_luts
-                    .iter()
-                    .any(|f| loc.overlaps(&f.hit.location(self.d)))
-            {
+            if !self.site_free(lattice, &hit) {
                 self.checkpoint.cursor += 1;
                 continue;
             }
@@ -1257,18 +1249,10 @@ impl<'a> Attack<'a> {
         while self.checkpoint.cursor < items.len() {
             let (queries, end) = self.plan_batch(items.len(), |this, j| {
                 let hit = &items[j].1;
-                let loc = hit.location(this.d);
-                if !lattice.accepts_hit(hit)
-                    || this.checkpoint.z_luts.iter().any(|z| loc.overlaps(&z.hit.location(this.d)))
-                    || this
-                        .checkpoint
-                        .feedback_luts
-                        .iter()
-                        .any(|f| loc.overlaps(&f.hit.location(this.d)))
-                {
-                    BatchSlot::Skip
+                if this.site_free(lattice, hit) {
+                    BatchSlot::Query(hit.location(this.d))
                 } else {
-                    BatchSlot::Query(loc)
+                    BatchSlot::Skip
                 }
             });
             if queries.is_empty() {
@@ -1300,6 +1284,30 @@ impl<'a> Attack<'a> {
         Ok(())
     }
 
+    /// Whether a candidate site is still open: on the site lattice
+    /// (position and sub-vector order) and clear of every verified
+    /// keystream-path and feedback-path LUT. The accept filter of the
+    /// feedback-path and load-mux phases.
+    fn site_free(&self, lattice: &SiteLattice, hit: &LutHit) -> bool {
+        let loc = hit.location(self.d);
+        lattice.accepts_hit(hit)
+            && !self.checkpoint.z_luts.iter().any(|z| loc.overlaps(&z.hit.location(self.d)))
+            && !self.checkpoint.feedback_luts.iter().any(|f| loc.overlaps(&f.hit.location(self.d)))
+    }
+
+    /// The candidate bitstream of one load-mux half test: `half` of
+    /// `hit`, whose OR pins are `(p, q)`, rewritten to `p ⊕ q` (null
+    /// test) or to constant 0 (liveness test).
+    fn mux_candidate(&self, hit: &LutHit, half: u8, (p, q): (u8, u8), test: MuxTest) -> Bitstream {
+        let table = match test {
+            MuxTest::Xor => TruthTable::var(5, p).xor(TruthTable::var(5, q)),
+            MuxTest::Zero => TruthTable::zero(5),
+        };
+        let mut session = self.forge.session();
+        session.write_half(hit, half, table);
+        session.finish(CrcStrategy::Recompute)
+    }
+
     /// Builds the β + α₁ bitstream for a feedback-LUT subset, using
     /// the journalled load-mux halves (Section VI-D).
     fn build_keyindep(&self, feedback: &[FeedbackLut], m1b_hits: &[LutHit]) -> Bitstream {
@@ -1328,13 +1336,25 @@ impl<'a> Attack<'a> {
     /// Phase 4 pass 0: finds the γ=1 load-mux halves of stages
     /// `s0..s14`, accumulating into `checkpoint.mux_halves` from the
     /// checkpoint cursor.
+    ///
+    /// Batched runs take one of two paths. Over an order-free oracle
+    /// the rolling wavefront ([`Attack::find_load_mux_halves_batched`])
+    /// reorders queries. Over a fault-planning oracle the serial loop
+    /// below runs unchanged, in serial order, but answers its queries
+    /// from clean device data prefetched one window at a time
+    /// ([`Attack::prefetch_mux_window`]), replaying each query's
+    /// votes, retries and faults at the exact serial load indices
+    /// ([`ResilientOracle::query_with_clean`]). Clean data is a pure
+    /// function of the candidate bitstream and faults are planned per
+    /// (seed, load index), so the replay is bit-identical to the
+    /// serial run while the device work runs up to `batch` lanes wide.
     fn find_load_mux_halves(&mut self, lattice: &SiteLattice) -> Result<(), AttackError> {
         // Scan for LUTs with an OR-of-two-pins half, on the site
         // lattice learned from the verified LUTs. The lattice is a
         // pure position test, so applying it as a scan prefilter
         // skips the expensive sub-vector decode at off-lattice
-        // positions; the serial loop's `accepts_hit` check below
-        // still rejects hits whose *order* contradicts the lattice.
+        // positions; the loop's `site_free` check below still rejects
+        // hits whose *order* contradicts the lattice.
         let scanner = Scanner::builder().stride(self.d).build()?;
         let raw = scanner.scan_halves_where(
             &self.payload,
@@ -1345,31 +1365,28 @@ impl<'a> Attack<'a> {
         if self.batch > 1 && self.oracle.reorder_transparent() {
             return self.find_load_mux_halves_batched(lattice, &raw);
         }
+        let prefetch = self.batch > 1 && self.oracle.inner().fault_planning();
+        let mut window = MuxWindow::default();
         while self.checkpoint.cursor < raw.len() {
-            let hit = raw[self.checkpoint.cursor].clone();
-            let loc = hit.location(self.d);
-            if !lattice.accepts_hit(&hit)
-                || self.checkpoint.z_luts.iter().any(|z| loc.overlaps(&z.hit.location(self.d)))
-                || self
-                    .checkpoint
-                    .feedback_luts
-                    .iter()
-                    .any(|f| loc.overlaps(&f.hit.location(self.d)))
-            {
+            let j = self.checkpoint.cursor;
+            if prefetch && j >= window.end {
+                window = self.prefetch_mux_window(lattice, &raw);
+            }
+            let hit = &raw[j];
+            if !self.site_free(lattice, hit) {
                 self.checkpoint.cursor += 1;
                 continue;
             }
             let mut queried = false;
             let mut found: Vec<LoadMuxHalf> = Vec::new();
-            let halves = [hit.init.o5(), hit.init.o6_fractured()];
-            for half in 0..2u8 {
-                let Some((p, q)) = or_pair(halves[half as usize]) else { continue };
+            for (half, pins) in (0..2u8).zip(or_halves(hit)) {
+                let Some(pins) = pins else { continue };
                 // Skip duplicate views of bytes already claimed: the
                 // same physical half can match under both sub-vector
                 // orders when the lattice could not learn the slice
                 // alternation; one edit suffices (both views write
                 // the same reachable-row semantics).
-                if self.checkpoint.mux_halves.iter().any(|h| h.half == half && h.hit.l == hit.l) {
+                if self.claimed(hit, half) {
                     continue;
                 }
                 // Null test: a genuine load mux is insensitive to
@@ -1379,23 +1396,18 @@ impl<'a> Attack<'a> {
                 // when every shift-in is still at its power-up
                 // value 0).
                 queried = true;
-                let mut session = self.forge.session();
-                let xor = TruthTable::var(5, p).xor(TruthTable::var(5, q));
-                session.write_half(&hit, half, xor);
-                let z = self.run_oracle(&session.finish(CrcStrategy::Recompute))?;
+                let z = self.mux_query(&mut window, j, hit, half, pins, MuxTest::Xor)?;
                 if z != self.golden_keystream {
                     continue; // a real OR gate elsewhere in the design
                 }
                 // Liveness: forcing the half to 0 must disturb the
                 // keystream, otherwise these are dead filler bytes.
-                let mut session = self.forge.session();
-                session.write_half(&hit, half, TruthTable::zero(5));
-                let z = self.run_oracle(&session.finish(CrcStrategy::Recompute))?;
+                let z = self.mux_query(&mut window, j, hit, half, pins, MuxTest::Zero)?;
                 if z == self.golden_keystream {
                     self.checkpoint.dead_candidates += 1;
                     break; // dead filler: skip the hit's remaining half
                 }
-                found.push(LoadMuxHalf { hit: hit.clone(), half, pins: (p, q) });
+                found.push(LoadMuxHalf { hit: hit.clone(), half, pins });
             }
             // The whole hit is one journal item: its half edits and
             // the dead verdict land in the checkpoint atomically with
@@ -1409,18 +1421,93 @@ impl<'a> Attack<'a> {
         Ok(())
     }
 
-    /// Batched load-mux scan: drives each hit's sequential decision
-    /// chain (XOR null test → zero liveness test, per half) as a
-    /// rolling wavefront — every round batches each in-flight hit's
-    /// *next* query into one oracle call, and finished hits free
-    /// their lane for the next pending hit immediately.
+    /// Whether `half` of the site at `hit.l` already carries a
+    /// located load-mux half.
+    fn claimed(&self, hit: &LutHit, half: u8) -> bool {
+        self.checkpoint.mux_halves.iter().any(|h| h.half == half && h.hit.l == hit.l)
+    }
+
+    /// Answers one load-mux half test of hit `j`: replayed from the
+    /// window's prefetched clean data when it holds the test, as an
+    /// ordinary query otherwise.
+    fn mux_query(
+        &mut self,
+        window: &mut MuxWindow,
+        j: usize,
+        hit: &LutHit,
+        half: u8,
+        pins: (u8, u8),
+        test: MuxTest,
+    ) -> Result<Vec<u32>, AttackError> {
+        match window.clean.remove(&(j, half, test)) {
+            Some(clean) => {
+                self.oracle.query_with_clean(&clean, self.words).map_err(|e| self.attack_error(e))
+            }
+            None => {
+                let bs = self.mux_candidate(hit, half, pins, test);
+                self.run_oracle(&bs)
+            }
+        }
+    }
+
+    /// Prefetches the serial load-mux loop's next window, from the
+    /// checkpoint cursor on: for each accepted hit, the XOR null test
+    /// and the zero liveness test of each unclaimed OR half — every
+    /// test the loop can issue for that hit — read in one clean wide
+    /// pass. A window holds at most `self.batch` tests and only whole
+    /// hits, except that a lone hit with more tests than that keeps
+    /// its first `self.batch` (the loop queries the rest directly).
+    fn prefetch_mux_window(&self, lattice: &SiteLattice, raw: &[LutHit]) -> MuxWindow {
+        let mut tests: Vec<(usize, u8, (u8, u8), MuxTest)> = Vec::new();
+        let mut end = self.checkpoint.cursor;
+        while end < raw.len() {
+            let hit = &raw[end];
+            let mut hit_tests = Vec::new();
+            if self.site_free(lattice, hit) {
+                for (half, pins) in (0..2u8).zip(or_halves(hit)) {
+                    let Some(pins) = pins else { continue };
+                    if !self.claimed(hit, half) {
+                        hit_tests.push((end, half, pins, MuxTest::Xor));
+                        hit_tests.push((end, half, pins, MuxTest::Zero));
+                    }
+                }
+            }
+            if !tests.is_empty() && tests.len() + hit_tests.len() > self.batch {
+                break;
+            }
+            hit_tests.truncate(self.batch);
+            tests.extend(hit_tests);
+            end += 1;
+        }
+        let bss: Vec<Bitstream> = tests
+            .iter()
+            .map(|&(j, half, pins, test)| self.mux_candidate(&raw[j], half, pins, test))
+            .collect();
+        let clean = if bss.is_empty() {
+            Vec::new()
+        } else {
+            self.oracle.keystream_batch_clean(&bss, self.words)
+        };
+        let keys = tests.into_iter().map(|(j, half, _, test)| (j, half, test));
+        MuxWindow { clean: keys.zip(clean).collect(), end }
+    }
+
+    /// Batched load-mux scan over an order-free oracle: drives each
+    /// hit's sequential decision chain (XOR null test → zero liveness
+    /// test, per half) as a rolling wavefront — every round batches
+    /// each in-flight hit's *next* query into one oracle call, and
+    /// finished hits free their lane for the next pending hit
+    /// immediately.
     ///
     /// Unlike the other batched phases this reorders queries relative
     /// to the serial loop (hit A's second query rides alongside hit
     /// B's first), so it is only taken when the oracle is order-free
-    /// — `ResilientOracle::reorder_transparent` — and noisy
-    /// configurations keep the serial path (whose batches the planned
-    /// path makes fault-exact without reordering).
+    /// — `ResilientOracle::reorder_transparent`. A fault-planning
+    /// oracle's trace is defined by serial load order, so noisy
+    /// batched runs prefetch instead and keep the serial order (see
+    /// [`Attack::find_load_mux_halves`]); prefetching every test a
+    /// hit could need would waste lanes here, where clean verdicts
+    /// can steer the wavefront instead.
     /// The query *set* is unchanged: every hit runs the same chain
     /// with the same verdicts as the serial loop, because
     ///
@@ -1443,17 +1530,7 @@ impl<'a> Attack<'a> {
     ) -> Result<(), AttackError> {
         // The static accept filter, applied once up front.
         let accepted: Vec<usize> = (self.checkpoint.cursor..raw.len())
-            .filter(|&j| {
-                let hit = &raw[j];
-                let loc = hit.location(self.d);
-                lattice.accepts_hit(hit)
-                    && !self.checkpoint.z_luts.iter().any(|z| loc.overlaps(&z.hit.location(self.d)))
-                    && !self
-                        .checkpoint
-                        .feedback_luts
-                        .iter()
-                        .any(|f| loc.overlaps(&f.hit.location(self.d)))
-            })
+            .filter(|&j| self.site_free(lattice, &raw[j]))
             .collect();
         if accepted.is_empty() {
             self.checkpoint.cursor = raw.len();
@@ -1461,17 +1538,13 @@ impl<'a> Attack<'a> {
         }
 
         // Per-hit state machine, identical to one serial loop body.
-        // `half` and `stage` name the next query to issue; `pos`
+        // `half` and `test` name the next query to issue; `pos`
         // indexes `accepted`.
-        enum Stage {
-            Xor,
-            Zero,
-        }
         struct HitState {
             pos: usize,
             half: u8,
             pins: (u8, u8),
-            stage: Stage,
+            test: MuxTest,
             found: Vec<LoadMuxHalf>,
             dead: bool,
             done: bool,
@@ -1485,15 +1558,15 @@ impl<'a> Attack<'a> {
             self.checkpoint.mux_halves.iter().map(|h| (h.half, h.hit.l)).collect();
         let advance = |claimed: &[(u8, usize)], state: &mut HitState, from: u8| {
             let hit = &raw[accepted[state.pos]];
-            let halves = [hit.init.o5(), hit.init.o6_fractured()];
+            let halves = or_halves(hit);
             for half in from..2u8 {
-                let Some((p, q)) = or_pair(halves[half as usize]) else { continue };
+                let Some(pins) = halves[usize::from(half)] else { continue };
                 if claimed.contains(&(half, hit.l)) {
                     continue;
                 }
                 state.half = half;
-                state.pins = (p, q);
-                state.stage = Stage::Xor;
+                state.pins = pins;
+                state.test = MuxTest::Xor;
                 return;
             }
             state.done = true;
@@ -1522,7 +1595,7 @@ impl<'a> Attack<'a> {
                     pos,
                     half: 0,
                     pins: (0, 0),
-                    stage: Stage::Xor,
+                    test: MuxTest::Xor,
                     found: Vec::new(),
                     dead: false,
                     done: false,
@@ -1542,16 +1615,7 @@ impl<'a> Attack<'a> {
             if !inflight.is_empty() {
                 let bss: Vec<Bitstream> = inflight
                     .iter()
-                    .map(|state| {
-                        let (p, q) = state.pins;
-                        let table = match state.stage {
-                            Stage::Xor => TruthTable::var(5, p).xor(TruthTable::var(5, q)),
-                            Stage::Zero => TruthTable::zero(5),
-                        };
-                        let mut session = self.forge.session();
-                        session.write_half(&raw[accepted[state.pos]], state.half, table);
-                        session.finish(CrcStrategy::Recompute)
-                    })
+                    .map(|s| self.mux_candidate(&raw[accepted[s.pos]], s.half, s.pins, s.test))
                     .collect();
                 let results = self.oracle.query_batch(&bss, self.words);
                 for (state, result) in inflight.iter_mut().zip(results) {
@@ -1566,17 +1630,17 @@ impl<'a> Attack<'a> {
                         }
                     };
                     let half = state.half;
-                    match state.stage {
-                        Stage::Xor => {
+                    match state.test {
+                        MuxTest::Xor => {
                             if z != self.golden_keystream {
                                 // A real OR gate elsewhere in the
                                 // design: try the other half.
                                 advance(&claimed, state, half + 1);
                             } else {
-                                state.stage = Stage::Zero;
+                                state.test = MuxTest::Zero;
                             }
                         }
-                        Stage::Zero => {
+                        MuxTest::Zero => {
                             if z == self.golden_keystream {
                                 // Dead filler: skip the hit's
                                 // remaining half.
@@ -1776,6 +1840,23 @@ impl<'a> Attack<'a> {
     }
 }
 
+/// One test of a load-mux half (Section VI-D).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum MuxTest {
+    /// Null test: `x ∨ y` → `x ⊕ y` must leave the keystream unchanged.
+    Xor,
+    /// Liveness test: forcing the half to 0 must disturb the keystream.
+    Zero,
+}
+
+/// Clean device data prefetched for the serial load-mux loop, keyed by
+/// (hit index, half, test), for the hits before index `end`.
+#[derive(Default)]
+struct MuxWindow {
+    clean: HashMap<(usize, u8, MuxTest), Result<Vec<u32>, OracleError>>,
+    end: usize,
+}
+
 /// How the batch planner treats one work item.
 enum BatchSlot {
     /// Consumed without an oracle query (pruned by the overlap or
@@ -1849,6 +1930,12 @@ pub fn stuck_bit(z: &[u32], golden: &[u32]) -> Option<u8> {
     } else {
         None
     }
+}
+
+/// The `x ∨ y` pin pairs of a hit's two halves (O5, O6), where a half
+/// has that form.
+fn or_halves(hit: &LutHit) -> [Option<(u8, u8)>; 2] {
+    [or_pair(hit.init.o5()), or_pair(hit.init.o6_fractured())]
 }
 
 /// Recognises a 5-variable half that is exactly `x ∨ y` for a pin

@@ -27,11 +27,17 @@
 //!   the gang-simulated partial batch.
 //!
 //! The layer sits *below* resilience and supervision: fault planning,
-//! journaling and retries all delegate untouched, and on a
-//! fault-planning oracle batched queries run as a serial loop — one
-//! physical load per lane, so a run's fault trace is invariant under
-//! switching load modes (`tests/partial_equivalence.rs` pins this
-//! differentially).
+//! journaling and retries all delegate untouched. On a fault-planning
+//! oracle a physical batch runs as a serial loop — one physical load
+//! per lane, so a run's fault trace is invariant under switching load
+//! modes (`tests/partial_equivalence.rs` pins this differentially).
+//! Batched noisy runs rarely take that loop, though: the resilience
+//! layer's planned batches and the attack's load-mux prefetch windows
+//! read their device data through
+//! [`keystream_batch_clean`](KeystreamOracle::keystream_batch_clean),
+//! which ships delta chains to the clean substrate and replays the
+//! faults from plans. `pr.*` traffic then counts one shipped lane per
+//! logical query, not one load per vote or retry.
 
 use std::sync::Mutex;
 

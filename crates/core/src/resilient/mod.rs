@@ -539,9 +539,10 @@ impl<'a> ResilientOracle<'a> {
     /// or consumes a fault stream indexed by load order. The attack's
     /// batched candidate scan interleaves queries from different
     /// candidates, so it must check this — a fault-planning oracle's
-    /// trace is defined by serial load order, and only
-    /// [`query_batch`](Self::query_batch) (which preserves that
-    /// order) is exact there.
+    /// trace is defined by serial load order, and only the planned
+    /// paths ([`query_batch`](Self::query_batch) and
+    /// [`query_with_clean`](Self::query_with_clean), which keep that
+    /// order) are exact there.
     pub(crate) fn reorder_transparent(&self) -> bool {
         self.pass_through() && !self.inner.fault_planning()
     }
@@ -561,14 +562,15 @@ impl<'a> ResilientOracle<'a> {
     /// in results, accounting and fault trace:
     ///
     /// * against a **fault-planning oracle** (an `UnreliableBoard`),
-    ///   the whole batch — retries, votes, backoff, budget gates and
-    ///   the adaptive policy — is *simulated* against speculative
-    ///   fault plans for the exact load indices serial execution
-    ///   would use, device data is read once from the clean substrate
-    ///   via [`KeystreamOracle::keystream_batch_clean`] (a
-    ///   gang-simulated board evaluates up to 64 lanes per pass), and
-    ///   exactly the reads serial execution performs are committed.
-    ///   This is what lets noisy runs batch end-to-end;
+    ///   device data is read once from the clean substrate via
+    ///   [`KeystreamOracle::keystream_batch_clean`] (a gang-simulated
+    ///   board evaluates up to 64 lanes per pass), and each item then
+    ///   runs [`query_with_clean`](Self::query_with_clean) in input
+    ///   order: retries, votes, backoff, budget gates and the
+    ///   adaptive policy are replayed against fault plans for the
+    ///   exact load indices serial execution would use, and exactly
+    ///   the reads serial execution performs are committed. This is
+    ///   what lets noisy runs batch end-to-end;
     /// * on a **pass-through configuration** over a non-planning
     ///   oracle, the batch is dispatched wide through
     ///   [`KeystreamOracle::keystream_batch`] with the serial
@@ -585,7 +587,8 @@ impl<'a> ResilientOracle<'a> {
             return Vec::new();
         }
         let results = if self.inner.fault_planning() {
-            self.query_batch_planned(bitstreams, words)
+            let clean = self.inner.keystream_batch_clean(bitstreams, words);
+            clean.iter().map(|item| self.query_with_clean(item, words)).collect()
         } else if self.pass_through() {
             self.query_batch_wide(bitstreams, words)
         } else {
@@ -597,32 +600,56 @@ impl<'a> ResilientOracle<'a> {
         results
     }
 
-    /// The planned batch path: the board's fault decisions are pure
-    /// functions of `(board seed, load index)`, so the entire serial
-    /// state machine — vote loops, retry loops, budget and deadline
-    /// gates, jitter, the virtual clock and the adaptive controller —
-    /// is replayed here against *planned* reads, in input order,
-    /// without touching the device. Device data comes from one
-    /// speculative clean wide pass (side-effect-free; items the
-    /// budget cuts never commit), and the plans serial execution
-    /// would have performed are committed to the board afterwards,
-    /// leaving it in the bit-identical state.
-    fn query_batch_planned(
-        &mut self,
+    /// Reads device data for `bitstreams` from the clean substrate in
+    /// one wide pass ([`KeystreamOracle::keystream_batch_clean`]):
+    /// no fault draws, no fault accounting and no resilience
+    /// bookkeeping. Its results feed later
+    /// [`query_with_clean`](Self::query_with_clean) calls; telemetry
+    /// records the pass as one batch.
+    pub(crate) fn keystream_batch_clean(
+        &self,
         bitstreams: &[Bitstream],
         words: usize,
-    ) -> Vec<Result<Vec<u32>, ResilienceError>> {
+    ) -> Vec<Result<Vec<u32>, OracleError>> {
         let clean = self.inner.keystream_batch_clean(bitstreams, words);
-        let mut plans: Vec<fpga_sim::ReadPlan> = Vec::new();
-        let mut out = Vec::with_capacity(bitstreams.len());
-        for item_clean in &clean {
-            let before = self.stats;
-            let result = self.query_planned_one(item_clean, words, &mut plans);
-            self.record_query_telemetry(before, &result);
-            out.push(result);
+        if self.telemetry.is_enabled() {
+            self.telemetry.record_batch(bitstreams.len() as u64, fpga_sim::GANG_LANES as u64);
         }
+        clean
+    }
+
+    /// One logical query against a fault-planning oracle, answered
+    /// from `clean` — the candidate's device data, fetched earlier by
+    /// [`keystream_batch_clean`](Self::keystream_batch_clean). The
+    /// board's fault decisions are pure functions of
+    /// `(board seed, load index)`, so the serial state machine — vote
+    /// loops, retry loops, budget and deadline gates, jitter, the
+    /// virtual clock and the adaptive controller — runs here against
+    /// reads *planned* at the exact load indices a serial
+    /// [`query`](Self::query) would use, and the reads it performed
+    /// (including those of a query the budget cuts) are committed
+    /// before it returns. Results, accounting and the board's fault
+    /// trace are bit-identical to `query` on the same candidate.
+    ///
+    /// # Errors
+    ///
+    /// As [`query`](Self::query).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the wrapped oracle does not plan its faults
+    /// ([`KeystreamOracle::fault_planning`] is false).
+    pub(crate) fn query_with_clean(
+        &mut self,
+        clean: &Result<Vec<u32>, OracleError>,
+        words: usize,
+    ) -> Result<Vec<u32>, ResilienceError> {
+        let before = self.stats;
+        let mut plans: Vec<fpga_sim::ReadPlan> = Vec::new();
+        let result = self.query_planned_one(clean, words, &mut plans);
         self.inner.commit_reads(&plans);
-        out
+        self.record_query_telemetry(before, &result);
+        result
     }
 
     /// One logical query of the planned path — the exact mirror of

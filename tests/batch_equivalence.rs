@@ -7,11 +7,13 @@
 
 use bitmod::campaign::CancelToken;
 use bitmod::fleet::{ResumePolicy, SessionIo, SessionSpec};
-use bitmod::telemetry::Telemetry;
+use bitmod::telemetry::{names, Telemetry};
 use bitmod::{Attack, AttackReport};
 use fpga_sim::{ImplementOptions, Snow3gBoard, UnreliableBoard, GANG_LANES};
 use netlist::snow3g_circuit::Snow3gCircuitConfig;
 use snow3g::vectors::{TEST_SET_1_IV, TEST_SET_1_KEY};
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 
 fn build_board() -> Snow3gBoard {
     Snow3gBoard::build(
@@ -84,11 +86,11 @@ fn small_batch_width_equals_serial() {
 
 #[test]
 fn batched_noisy_attack_replays_the_serial_fault_trace() {
-    // Against the fault-injecting board the resilience layer is not
-    // in pass-through (majority voting draws RNG per item), so the
-    // batched path must execute per item sequentially — identical
-    // fault draws, identical retries, identical board-side fault
-    // accounting.
+    // Against the fault-injecting board every batch runs the planned
+    // path: device data comes from one clean wide pass, and votes,
+    // retries and faults are replayed per item in serial load order —
+    // identical fault draws, identical retries, identical board-side
+    // fault accounting.
     let run = |batch: usize| {
         let spec =
             SessionSpec::builder().noisy(true).seed(7).batch(batch).build().expect("valid spec");
@@ -135,4 +137,76 @@ fn traced_batched_run_is_bit_identical_to_untraced() {
     let trace = std::fs::read_to_string(&trace_path).expect("trace written");
     assert!(trace.lines().any(|l| l.contains("\"batch\"")), "batch events recorded");
     let _ = std::fs::remove_file(&trace_path);
+}
+
+/// An in-memory trace sink the test can read back after the run.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("trace buffer lock").extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One run of the most composed noisy configuration — batched,
+/// partial, encrypted, on a faulty board under the adaptive policy,
+/// fault seed 7 — returning the report, the board's fault trace, the
+/// adaptive policy's transitions (trace events minus their sequence
+/// numbers) and the session metrics.
+fn composed_noisy_run(
+    batch: usize,
+) -> (AttackReport, fpga_sim::unreliable::FaultStats, Vec<String>, bitmod::telemetry::Metrics) {
+    let spec = SessionSpec::builder()
+        .noisy(true)
+        .adaptive(true)
+        .seed(7)
+        .batch(batch)
+        .partial(true)
+        .encrypted(true)
+        .build()
+        .expect("valid spec");
+    let noisy = UnreliableBoard::new(build_board(), spec.fault_profile());
+    let golden = noisy.extract_bitstream();
+    let trace = SharedBuf::default();
+    let telemetry = Telemetry::with_sink(Box::new(trace.clone()));
+    let session = spec.run_harnessed(&noisy, golden, &io(telemetry.clone())).expect("runs");
+    telemetry.finish().expect("trace flushes");
+    let body = String::from_utf8(trace.0.lock().expect("trace buffer lock").clone())
+        .expect("the trace is UTF-8");
+    let policy: Vec<String> = body
+        .lines()
+        .filter(|line| line.contains("\"ev\":\"policy\""))
+        .map(|line| line[line.find("\"ev\"").expect("event name")..].to_owned())
+        .collect();
+    (session.attack.expect("recovers"), noisy.fault_stats(), policy, session.metrics)
+}
+
+#[test]
+fn batched_composed_noisy_attack_replays_the_serial_fault_trace() {
+    // The load-mux scan reorders queries on order-free oracles only;
+    // on this board a batched run prefetches its clean data window by
+    // window and replays every query in serial order. Width 3 puts a
+    // window boundary after almost every hit.
+    let (serial, serial_faults, serial_policy, _) = composed_noisy_run(1);
+    assert_eq!(serial.recovered.key, TEST_SET_1_KEY);
+    assert!(!serial_policy.is_empty(), "the adaptive policy escalates on this board");
+    for width in [3, GANG_LANES] {
+        let (batched, faults, policy, metrics) = composed_noisy_run(width);
+        assert_equivalent(&serial, &batched);
+        assert_eq!(faults, serial_faults, "board-side fault trace at width {width}");
+        assert_eq!(policy, serial_policy, "adaptive policy transitions at width {width}");
+        // At the gang width the scan's queries are answered from a
+        // few wide prefetch passes, not from one device call per
+        // physical read (thousands on this board).
+        if width == GANG_LANES {
+            let calls = metrics.counter(names::SUPERVISED_CALLS);
+            assert!(calls < batched.resilience.queries, "{calls} device calls at width {width}");
+        }
+    }
 }

@@ -9,7 +9,7 @@ use bitmod::campaign::CancelToken;
 use bitmod::fleet::{ResumePolicy, SessionIo, SessionOutcome, SessionSpec};
 use bitmod::journal::{AttackJournal, JournalError};
 use bitmod::{Attack, AttackError, Telemetry};
-use fpga_sim::{ImplementOptions, Snow3gBoard, UnreliableBoard};
+use fpga_sim::{ImplementOptions, Snow3gBoard, UnreliableBoard, GANG_LANES};
 use netlist::snow3g_circuit::Snow3gCircuitConfig;
 use snow3g::vectors::{TEST_SET_1_IV, TEST_SET_1_KEY};
 use std::path::{Path, PathBuf};
@@ -70,6 +70,15 @@ fn uninterrupted() -> RunTotals {
 /// then resumes it from the journal in a fresh session ("the new
 /// process") with the full budget.
 fn kill_and_resume(tag: &str, budget: u64) -> RunTotals {
+    kill_and_resume_with(tag, budget, spec)
+}
+
+/// [`kill_and_resume`] for sessions built by `spec`.
+fn kill_and_resume_with(
+    tag: &str,
+    budget: u64,
+    spec: impl Fn(u64, Option<&Path>, bool) -> SessionSpec,
+) -> RunTotals {
     let path = journal_path(tag);
     let _ = std::fs::remove_file(&path);
 
@@ -98,6 +107,45 @@ fn a_killed_run_resumes_to_the_bit_identical_trace() {
     // identical no matter where the kill fell.
     for (tag, budget) in [("early", 600), ("mid", 1_500), ("late", 2_500)] {
         let resumed = kill_and_resume(tag, budget);
+        assert_eq!(resumed.physical, truth.physical, "physical attempts (cut at {budget})");
+        assert_eq!(resumed.logical, truth.logical, "logical queries (cut at {budget})");
+        assert_eq!(resumed.retries, truth.retries, "absorbed retries (cut at {budget})");
+        assert_eq!(resumed.backoff_ms, truth.backoff_ms, "backoff trace (cut at {budget})");
+    }
+}
+
+/// The noisy journalled session of the batched test: the most
+/// composed configuration (64-lane batches, partial, encrypted,
+/// adaptive) at the same fault seed.
+fn composed_spec(batch: usize, budget: u64, journal: Option<&Path>, resume: bool) -> SessionSpec {
+    let mut b = SessionSpec::builder()
+        .noisy(true)
+        .adaptive(true)
+        .partial(true)
+        .encrypted(true)
+        .batch(batch)
+        .seed(SEED)
+        .budget(budget)
+        .resume(resume);
+    if let Some(path) = journal {
+        b = b.journal(path);
+    }
+    b.build().expect("valid spec")
+}
+
+#[test]
+fn a_killed_batched_composed_run_resumes_to_the_serial_trace() {
+    let serial = composed_spec(1, BUDGET, None, false).run_local().expect("serial run completes");
+    let serial = serial.attack.expect("serial run recovers");
+    assert_eq!(serial.recovered.key, TEST_SET_1_KEY);
+    let truth = totals_of(&serial);
+    // 600 cuts the batched keystream-path phase; 1,500 and 2,500 cut
+    // the load-mux scan inside one of its prefetch windows. The
+    // resumed run must still replay the serial trace exactly.
+    for (tag, budget) in [("batched-early", 600), ("batched-mid", 1_500), ("batched-late", 2_500)] {
+        let resumed = kill_and_resume_with(tag, budget, |budget, journal, resume| {
+            composed_spec(GANG_LANES, budget, journal, resume)
+        });
         assert_eq!(resumed.physical, truth.physical, "physical attempts (cut at {budget})");
         assert_eq!(resumed.logical, truth.logical, "logical queries (cut at {budget})");
         assert_eq!(resumed.retries, truth.retries, "absorbed retries (cut at {budget})");
