@@ -274,6 +274,19 @@ fn transport_health(counters: &str) -> String {
     )
 }
 
+/// Renders the configuration-traffic line under `bitmod status`: the
+/// bytes the fleet's partial-reconfiguration sessions shipped to their
+/// boards, and how many loads went out as full images or frame-deltas.
+fn configuration_traffic(counters: &str) -> String {
+    let field = |name: &str| wire::number_field(counters, name).unwrap_or(0);
+    format!(
+        "configuration: {} bytes shipped in {} full and {} partial loads",
+        field("pr.bytes_shipped"),
+        field("pr.full_loads"),
+        field("pr.partial_loads"),
+    )
+}
+
 fn run_client(cmd: &str, rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let (endpoint, config, rest) = split_addr(rest)?;
     let mut client = FleetClient::connect_with(&endpoint, config)?;
@@ -288,10 +301,12 @@ fn run_client(cmd: &str, rest: &[String]) -> Result<(), Box<dyn std::error::Erro
                 // The fleet-wide view: every session, then board
                 // health (quarantined boards show up as "dead" and
                 // the observed-vs-injected fault gap), then the
-                // wire's own health.
+                // wire's own health and the configuration traffic.
                 println!("{}", client.list()?);
                 println!("{}", client.health()?);
-                println!("{}", transport_health(&client.counters()?));
+                let counters = client.counters()?;
+                println!("{}", transport_health(&counters));
+                println!("{}", configuration_traffic(&counters));
             }
         },
         "tail" => {

@@ -53,7 +53,13 @@ pub const CAMPAIGN_VERSION: u16 = 1;
 /// and whoever supervises it (a signal handler, a watchdog thread, a
 /// test). Cloning shares the flag.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken {
+    cancelled: Arc<AtomicBool>,
+    /// A fleet worker's kill switch, observed alongside the flag: the
+    /// worker threads it into the session's token so a kill lands at
+    /// the same supervision chokepoint as a cancel.
+    kill: Option<Arc<AtomicBool>>,
+}
 
 impl CancelToken {
     /// A fresh, uncancelled token.
@@ -62,15 +68,33 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Requests cancellation. Idempotent; never blocks.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
+    /// This token, additionally stopped by `kill`.
+    pub(crate) fn observing_kill(mut self, kill: Arc<AtomicBool>) -> Self {
+        self.kill = Some(kill);
+        self
     }
 
-    /// Whether cancellation has been requested.
+    /// Requests cancellation. Idempotent; never blocks.
+    pub fn cancel(&self) {
+        self.cancelled.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether cancellation has been requested (or an observed kill
+    /// switch flipped).
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
+        self.stop_reason().is_some()
+    }
+
+    /// Why the token says stop, if it does.
+    fn stop_reason(&self) -> Option<&'static str> {
+        if self.cancelled.load(Ordering::Relaxed) {
+            Some("campaign cancelled")
+        } else if self.kill.as_ref().is_some_and(|kill| kill.load(Ordering::SeqCst)) {
+            Some("worker killed")
+        } else {
+            None
+        }
     }
 }
 
@@ -284,7 +308,8 @@ impl CellSupervisor {
     }
 
     /// Wraps an oracle so every query first checks the cancellation
-    /// token and this cell's wall-clock deadline. Both surface as the
+    /// token (and the kill switch it observes, on a fleet worker) and
+    /// this cell's wall-clock deadline. All surface as the
     /// non-transient [`OracleError::Rejected`], which the resilience
     /// layer aborts on immediately instead of retrying.
     #[must_use]
@@ -307,20 +332,34 @@ pub struct SupervisedOracle<'a> {
     telemetry: Telemetry,
 }
 
+impl SupervisedOracle<'_> {
+    /// Counts one supervised call and returns why it is refused — the
+    /// token (cancel or an observed kill) or this cell's wall-clock
+    /// deadline — if it is.
+    fn refusal(&self) -> Option<OracleError> {
+        self.telemetry.incr(names::SUPERVISED_CALLS, 1);
+        let reason = self.cancel.stop_reason().or_else(|| {
+            self.deadline
+                .is_some_and(|deadline| Instant::now() > deadline)
+                .then_some("cell wall-clock deadline exceeded")
+        })?;
+        self.telemetry.incr(names::SUPERVISED_REJECTIONS, 1);
+        Some(OracleError::Rejected(reason.into()))
+    }
+
+    /// [`SupervisedOracle::refusal`] for a batch: one check, every
+    /// lane refused alike.
+    fn batch_refusal(&self, lanes: usize) -> Option<Vec<Result<Vec<u32>, OracleError>>> {
+        self.refusal().map(|e| vec![Err(e); lanes])
+    }
+}
+
 impl KeystreamOracle for SupervisedOracle<'_> {
     fn keystream(&self, bitstream: &Bitstream, words: usize) -> Result<Vec<u32>, OracleError> {
-        self.telemetry.incr(names::SUPERVISED_CALLS, 1);
-        if self.cancel.is_cancelled() {
-            self.telemetry.incr(names::SUPERVISED_REJECTIONS, 1);
-            return Err(OracleError::Rejected("campaign cancelled".into()));
+        match self.refusal() {
+            Some(e) => Err(e),
+            None => self.inner.keystream(bitstream, words),
         }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() > deadline {
-                self.telemetry.incr(names::SUPERVISED_REJECTIONS, 1);
-                return Err(OracleError::Rejected("cell wall-clock deadline exceeded".into()));
-            }
-        }
-        self.inner.keystream(bitstream, words)
     }
 
     /// Batches pass through to the inner oracle's wide path (the
@@ -332,24 +371,8 @@ impl KeystreamOracle for SupervisedOracle<'_> {
         bitstreams: &[Bitstream],
         words: usize,
     ) -> Vec<Result<Vec<u32>, OracleError>> {
-        self.telemetry.incr(names::SUPERVISED_CALLS, 1);
-        if self.cancel.is_cancelled() {
-            self.telemetry.incr(names::SUPERVISED_REJECTIONS, 1);
-            return bitstreams
-                .iter()
-                .map(|_| Err(OracleError::Rejected("campaign cancelled".into())))
-                .collect();
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() > deadline {
-                self.telemetry.incr(names::SUPERVISED_REJECTIONS, 1);
-                return bitstreams
-                    .iter()
-                    .map(|_| Err(OracleError::Rejected("cell wall-clock deadline exceeded".into())))
-                    .collect();
-            }
-        }
-        self.inner.keystream_batch(bitstreams, words)
+        self.batch_refusal(bitstreams.len())
+            .unwrap_or_else(|| self.inner.keystream_batch(bitstreams, words))
     }
 
     fn state_snapshot(&self) -> Option<Vec<u8>> {
@@ -382,24 +405,8 @@ impl KeystreamOracle for SupervisedOracle<'_> {
         bitstreams: &[Bitstream],
         words: usize,
     ) -> Vec<Result<Vec<u32>, OracleError>> {
-        self.telemetry.incr(names::SUPERVISED_CALLS, 1);
-        if self.cancel.is_cancelled() {
-            self.telemetry.incr(names::SUPERVISED_REJECTIONS, 1);
-            return bitstreams
-                .iter()
-                .map(|_| Err(OracleError::Rejected("campaign cancelled".into())))
-                .collect();
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() > deadline {
-                self.telemetry.incr(names::SUPERVISED_REJECTIONS, 1);
-                return bitstreams
-                    .iter()
-                    .map(|_| Err(OracleError::Rejected("cell wall-clock deadline exceeded".into())))
-                    .collect();
-            }
-        }
-        self.inner.keystream_batch_clean(bitstreams, words)
+        self.batch_refusal(bitstreams.len())
+            .unwrap_or_else(|| self.inner.keystream_batch_clean(bitstreams, words))
     }
 
     fn resolve_plan(
@@ -792,6 +799,36 @@ mod tests {
         let err = supervisor.supervise(&Null).keystream(&bs, 2).expect_err("expired");
         assert!(!err.is_transient());
         assert!(err.to_string().contains("deadline"), "{err}");
+    }
+
+    #[test]
+    fn an_observed_kill_switch_stops_every_supervised_call_path() {
+        struct Null;
+        impl KeystreamOracle for Null {
+            fn keystream(&self, _: &Bitstream, words: usize) -> Result<Vec<u32>, OracleError> {
+                Ok(vec![0; words])
+            }
+        }
+        let bs = vec![Bitstream::from_bytes(vec![0; 8]); 3];
+        let kill = Arc::new(AtomicBool::new(false));
+        let user = CancelToken::new();
+        let cancel = user.clone().observing_kill(kill.clone());
+        let supervisor = CellSupervisor::new(cancel.clone(), None, Telemetry::new());
+        let oracle = supervisor.supervise(&Null);
+        assert!(oracle.keystream_batch(&bs, 1).iter().all(Result::is_ok));
+
+        kill.store(true, Ordering::SeqCst);
+        assert!(cancel.is_cancelled(), "the kill stops the session's token");
+        assert!(!user.is_cancelled(), "but is no user cancel");
+        let err = oracle.keystream(&bs[0], 1).expect_err("killed");
+        assert!(!err.is_transient() && err.to_string().contains("killed"), "{err}");
+        for out in [oracle.keystream_batch(&bs, 1), oracle.keystream_batch_clean(&bs, 1)] {
+            assert_eq!(out.len(), bs.len());
+            assert!(out.iter().all(Result::is_err), "every lane refused");
+        }
+        let m = supervisor.telemetry.metrics();
+        assert_eq!(m.counter(names::SUPERVISED_CALLS), 4);
+        assert_eq!(m.counter(names::SUPERVISED_REJECTIONS), 3);
     }
 
     #[test]

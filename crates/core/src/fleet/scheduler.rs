@@ -24,10 +24,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use bitstream::Bitstream;
-
 use crate::campaign::CellStats;
-use crate::oracle::{KeystreamOracle, OracleError};
+use crate::oracle::KeystreamOracle;
 use crate::telemetry::{names, Metrics, Telemetry};
 
 use super::health::{self, BoardScore, WorkerHealth};
@@ -361,91 +359,6 @@ impl Drop for Fleet {
     }
 }
 
-/// An oracle wrapper enforcing a worker's kill switch at the query
-/// chokepoint — the in-process analogue of `SIGKILL`, except the
-/// worker gets to requeue its session instead of relying on the next
-/// boot scan.
-struct KillGate<'a> {
-    inner: &'a dyn KeystreamOracle,
-    kill: &'a AtomicBool,
-}
-
-impl KillGate<'_> {
-    fn killed(&self) -> bool {
-        self.kill.load(Ordering::SeqCst)
-    }
-}
-
-impl KeystreamOracle for KillGate<'_> {
-    fn keystream(&self, bitstream: &Bitstream, words: usize) -> Result<Vec<u32>, OracleError> {
-        if self.killed() {
-            return Err(OracleError::Rejected("worker killed".into()));
-        }
-        self.inner.keystream(bitstream, words)
-    }
-
-    fn keystream_batch(
-        &self,
-        bitstreams: &[Bitstream],
-        words: usize,
-    ) -> Vec<Result<Vec<u32>, OracleError>> {
-        if self.killed() {
-            return bitstreams
-                .iter()
-                .map(|_| Err(OracleError::Rejected("worker killed".into())))
-                .collect();
-        }
-        self.inner.keystream_batch(bitstreams, words)
-    }
-
-    fn state_snapshot(&self) -> Option<Vec<u8>> {
-        self.inner.state_snapshot()
-    }
-
-    fn restore_state(&self, state: &[u8]) -> Result<(), OracleError> {
-        self.inner.restore_state(state)
-    }
-
-    // Fault planning forwards verbatim: the kill switch is enforced
-    // on every *committing* call path above, and a kill that lands
-    // between planning and commit is caught at the next query exactly
-    // as it would be between two serial queries.
-    fn fault_planning(&self) -> bool {
-        self.inner.fault_planning()
-    }
-
-    fn plan_read(&self, ahead: u64, words: usize) -> Option<fpga_sim::ReadPlan> {
-        self.inner.plan_read(ahead, words)
-    }
-
-    fn commit_reads(&self, plans: &[fpga_sim::ReadPlan]) {
-        self.inner.commit_reads(plans);
-    }
-
-    fn keystream_batch_clean(
-        &self,
-        bitstreams: &[Bitstream],
-        words: usize,
-    ) -> Vec<Result<Vec<u32>, OracleError>> {
-        if self.killed() {
-            return bitstreams
-                .iter()
-                .map(|_| Err(OracleError::Rejected("worker killed".into())))
-                .collect();
-        }
-        self.inner.keystream_batch_clean(bitstreams, words)
-    }
-
-    fn resolve_plan(
-        &self,
-        plan: &fpga_sim::ReadPlan,
-        clean: Result<Vec<u32>, OracleError>,
-        want: usize,
-    ) -> Result<Vec<u32>, OracleError> {
-        self.inner.resolve_plan(plan, clean, want)
-    }
-}
-
 fn build_board() -> Result<fpga_sim::Snow3gBoard, SessionError> {
     let config = netlist::snow3g_circuit::Snow3gCircuitConfig::unprotected(
         snow3g::vectors::TEST_SET_1_KEY,
@@ -593,13 +506,23 @@ fn session_done(shared: &Shared) {
     shared.changed.notify_all();
 }
 
+/// Session counters the fleet sums over every run it hosts.
+const ROLLED_UP: [&str; 4] = [
+    names::JOURNAL_TORN_DISCARDED,
+    names::PR_BYTES_SHIPPED,
+    names::PR_FULL_LOADS,
+    names::PR_PARTIAL_LOADS,
+];
+
 /// Runs one session on this worker and reports how it left the
-/// worker (see [`Verdict`]).
+/// worker (see [`Verdict`]). The board (or its fault-model wrapper)
+/// goes straight to [`SessionSpec::run_harnessed`]: the same oracle
+/// stack `run_local` builds.
 fn run_session(
     shared: &Shared,
     index: usize,
     pool: &mut Option<fpga_sim::Snow3gBoard>,
-    kill: &AtomicBool,
+    kill: &Arc<AtomicBool>,
     handle: &SessionHandle,
 ) -> Verdict {
     let spec = handle.spec().clone();
@@ -619,7 +542,10 @@ fn run_session(
         journal: Some(layout.journal()),
         resume: ResumePolicy::IfJournalExists,
         telemetry,
-        cancel: handle.cancel_token(),
+        // The kill switch rides the session's own token, so it is
+        // enforced where cancel and deadline are: the supervision
+        // chokepoint of the stack `run_harnessed` builds.
+        cancel: handle.cancel_token().observing_kill(kill.clone()),
         expected_key: Some(snow3g::vectors::TEST_SET_1_KEY),
     };
 
@@ -645,9 +571,8 @@ fn run_session(
                 profile = profile.with_dies_at(dies_at);
             }
             let noisy = fpga_sim::UnreliableBoard::new(board, profile);
-            let gate = KillGate { inner: &noisy, kill };
             let golden = noisy.extract_bitstream();
-            let result = spec.run_harnessed(&gate, golden, &io);
+            let result = spec.run_harnessed(&noisy, golden, &io);
             record_board_faults(&io.telemetry, &noisy);
             // Two fault views with different owners: the session-wide
             // counters (journal-restored across migrations) feed the
@@ -658,22 +583,27 @@ fn run_session(
             let fate = Some((noisy.fault_stats(), noisy.local_stats(), noisy.is_dead()));
             (result, fate, noisy.into_inner())
         } else {
-            let gate = KillGate { inner: &board, kill };
             let golden = board.extract_bitstream();
-            let result = spec.run_harnessed(&gate, golden, &io);
+            let result = spec.run_harnessed(&board, golden, &io);
             (result, None, board)
         }
     }));
 
+    // Torn-checkpoint discards and configuration traffic are counted
+    // inside the session run, against its own telemetry; roll them up
+    // where `bitmod status` and the fleet counters can see them, then
+    // close the session's trace with its summary event.
+    let metrics = io.telemetry.metrics();
+    for name in ROLLED_UP {
+        let value = metrics.counter(name);
+        if value > 0 {
+            shared.telemetry.incr(name, value);
+        }
+    }
+    let _ = io.telemetry.finish();
+
     match run {
         Ok((result, fate, board)) => {
-            // Torn-checkpoint discards happen inside the session run,
-            // against its own telemetry; roll them up where
-            // `bitmod status` and the fleet counters can see them.
-            let torn = io.telemetry.metrics().counter(names::JOURNAL_TORN_DISCARDED);
-            if torn > 0 {
-                shared.telemetry.incr(names::JOURNAL_TORN_DISCARDED, torn);
-            }
             // Fold the board's own fault accounting into its health
             // score; a dead board is quarantined (durably) instead of
             // returning to the pool.
@@ -687,7 +617,7 @@ fn run_session(
                     + session_stats.timeouts
                     + session_stats.truncated_reads
                     + session_stats.bits_flipped;
-                let observed = io.telemetry.metrics().counter(names::ORACLE_RETRIES);
+                let observed = metrics.counter(names::ORACLE_RETRIES);
                 shared.telemetry.incr(names::BOARD_FAULT_GAP, injected.saturating_sub(observed));
                 let score = {
                     let mut boards = shared.boards.lock().expect("boards lock");
@@ -707,6 +637,15 @@ fn run_session(
             } else {
                 *pool = Some(board);
             }
+            // A kill stops the run through its token, so it surfaces
+            // as a cancelled (or failed) session; one that reached any
+            // other outcome first keeps it.
+            let stopped = result
+                .as_ref()
+                .map_or(true, |report| matches!(report.outcome, SessionOutcome::Cancelled));
+            if stopped && kill.load(Ordering::SeqCst) {
+                return Verdict::Requeue;
+            }
             match result {
                 Ok(report) => {
                     handle.finish(&report.outcome);
@@ -717,9 +656,6 @@ fn run_session(
                     }
                 }
                 Err(e) => {
-                    if kill.load(Ordering::SeqCst) {
-                        return Verdict::Requeue;
-                    }
                     if board_dead {
                         // Board death is board-local, not
                         // session-local: the journal stays on disk and
